@@ -105,12 +105,6 @@ def steering_matrix(us, n: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(us, np.arange(n)))
 
 
-def steering_derivative(u: float, n: int) -> np.ndarray:
-    """d/du of the steering vector: j*pi*m * exp(j*pi*m*u)."""
-    m = np.arange(n)
-    return 1j * np.pi * m * np.exp(1j * np.pi * m * float(u))
-
-
 @dataclass(frozen=True)
 class ClusterModel:
     """Clustered channel parameters: n_clusters x n_rays Laplacian-spread rays.
@@ -158,9 +152,6 @@ class ChannelSet:
     @property
     def n_users(self) -> int:
         return self.h.shape[1]
-
-    def entry(self, k: int, u: int) -> np.ndarray:
-        return self.h[k, u]
 
 
 def _user_rng(seed: int, user: int) -> np.random.Generator:

@@ -1,7 +1,9 @@
 """Command line interface for the experiment harness.
 
 Subcommands: pareto, se-vs-snr, beampattern, doa, design.
-Exit codes: 0 success, 2 config error, 3 solver failure in non-sweep mode.
+Exit codes: 0 success, 2 config error, 3 solver failure, i.e. a SolverError,
+an unsupported method/scalarization pair or a certified-infeasible epsilon
+raised outside a sweep cell. A design's stop status never sets the exit code.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def main(argv=None) -> int:
             config = config.with_overrides(seeds=str(args.seed))
         out_dir = args.out or config.get_str("output.dir")
         runner = _RUNNERS[args.command]
-        result = runner(config, out_dir, jobs=max(1, args.jobs))
+        runner(config, out_dir, jobs=max(1, args.jobs))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -66,10 +68,6 @@ def main(argv=None) -> int:
             InfeasibleEpsilonError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    if args.command == "design" and result != "converged":
-        if result == "infeasible":
-            print(f"solver failure: design status {result}", file=sys.stderr)
-            return EXIT_SOLVER
     print(f"wrote artifacts to {out_dir}")
     return EXIT_OK
 

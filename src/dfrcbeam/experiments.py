@@ -10,7 +10,7 @@ row order, so reruns with identical configs are byte-identical.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -281,15 +281,19 @@ def _gnuplot(out_dir: str, name: str, body: str) -> None:
 # -- problem assembly ----------------------------------------------------------
 
 def _make_problem(config: ExperimentConfig, arch_kind: str, seed: int,
-                  noise_variance: float, scalarization, objective=None):
+                  noise_variance: float, scalarization, cfg: SolverConfig):
+    """The seed's problem with its objective normalized by the two
+    single-objective pre-solves; returns (problem, normalizer info)."""
     dims = config.dims()
     channels = gen_channel(dims, config.cluster_model(), seed,
                            noise_variance=noise_variance)
-    return DesignProblem(
+    base = DesignProblem(
         dims=dims, channels=channels, scene=config.scene(),
         architecture=config.architecture(arch_kind),
-        objective=objective if objective is not None else config.objective(),
-        scalarization=scalarization, power=config.get_float("power.total"))
+        objective=config.objective(), scalarization=scalarization,
+        power=config.get_float("power.total"))
+    objective, info = compute_normalizers(base, cfg)
+    return replace(base, objective=objective), info
 
 
 def _evaluate_pair(problem, result):
@@ -315,8 +319,8 @@ def _pareto_seed_task(values: dict, seed: int):
     weights = sorted(config.get_list("sweep.weights"))
     arch_kinds = config.get_list("sweep.architectures", conv=str)
     cfg = config.solver_config(seed)
-    base = _make_problem(config, arch_kinds[0], seed, noise, WeightedSum(0.5, 0.5))
-    objective, info = compute_normalizers(base, cfg)
+    base, info = _make_problem(config, arch_kinds[0], seed, noise,
+                               WeightedSum(0.5, 0.5), cfg)
     comm_fd = info["comm_result"].fully_digital
     rows = []
     for kind in arch_kinds:
@@ -325,8 +329,8 @@ def _pareto_seed_task(values: dict, seed: int):
                                       config.get_float("power.total"))
         init = (warm.analog.matrix, warm.digital)
         for w in weights:
-            problem = _make_problem(config, kind, seed, noise,
-                                    WeightedSum(w, 1.0 - w), objective=objective)
+            problem = replace(base, architecture=arch,
+                              scalarization=WeightedSum(w, 1.0 - w))
             try:
                 result = solve(problem, "admm", cfg, init=init)
                 init = (result.precoder.analog.matrix, result.precoder.digital)
@@ -377,11 +381,8 @@ def _se_snr_cell_task(values: dict, cell):
     power = config.get_float("power.total")
     noise = power * 10.0 ** (-snr_db / 10.0)
     cfg = config.solver_config(seed)
-    scal = config.scalarization()
-    base = _make_problem(config, config.get_str("arch.kind"), seed, noise, scal)
-    objective, _ = compute_normalizers(base, cfg)
-    problem = _make_problem(config, config.get_str("arch.kind"), seed, noise,
-                            scal, objective=objective)
+    problem, _ = _make_problem(config, config.get_str("arch.kind"), seed,
+                               noise, config.scalarization(), cfg)
     try:
         fd = design_fully_digital(problem, cfg)
         se_fd = _se_of_fd(problem, fd)
@@ -440,11 +441,8 @@ def run_beampattern(config: ExperimentConfig, out_dir: str, jobs: int = 1):
     seed = config.seeds()[0]
     noise = config.get_float("noise.variance")
     cfg = config.solver_config(seed)
-    scal = config.scalarization()
-    base = _make_problem(config, config.get_str("arch.kind"), seed, noise, scal)
-    objective, _ = compute_normalizers(base, cfg)
-    problem = _make_problem(config, config.get_str("arch.kind"), seed, noise,
-                            scal, objective=objective)
+    problem, _ = _make_problem(config, config.get_str("arch.kind"), seed,
+                               noise, config.scalarization(), cfg)
     scene = problem.scene
     grid = scene.grid
     power = problem.power
@@ -516,11 +514,8 @@ def run_design(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     method = config.get_str("design.method")
     if method not in ("admm", "two_stage"):
         raise ConfigError("design.method must be 'admm' or 'two_stage'")
-    base = _make_problem(config, config.get_str("arch.kind"), seed, noise,
-                         config.scalarization())
-    objective, _ = compute_normalizers(base, cfg)
-    problem = _make_problem(config, config.get_str("arch.kind"), seed, noise,
-                            config.scalarization(), objective=objective)
+    problem, _ = _make_problem(config, config.get_str("arch.kind"), seed,
+                               noise, config.scalarization(), cfg)
     result = solve(problem, method, cfg)
     fileio.save_complex_matrix(f"{out_dir}/analog.csv", result.precoder.analog.matrix)
     fileio.save_indexed_matrices(f"{out_dir}/digital.csv",

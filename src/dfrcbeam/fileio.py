@@ -3,7 +3,8 @@
 Experiment CSVs use 9 significant digits with '.' separator and unix
 newlines so that reruns with identical configs are byte-identical.
 Columnar matrix files use 17 significant digits so float64 values
-round-trip exactly (they feed cross-language golden tests).
+round-trip exactly; of these only the channel file has a loader here
+(load_channelset_array).
 """
 
 from __future__ import annotations
@@ -64,61 +65,27 @@ def sha256_of_text(text: str) -> str:
 
 # -- complex matrix/channel columnar files -----------------------------------
 
+def _save_columnar(path, array, index_names) -> None:
+    """Columnar (index..., re, im) dump of a complex array, one row per entry
+    in C order; index_names heads the index columns."""
+    a = np.asarray(array)
+    rows = [(*idx, a[idx].real, a[idx].imag) for idx in np.ndindex(a.shape)]
+    write_csv(path, [*index_names, "re", "im"], rows, digits=LOSSLESS_DIGITS)
+
+
 def save_complex_matrix(path, m) -> None:
     """Columnar (row, col, re, im) dump of a 2-D complex matrix."""
-    m = np.asarray(m)
-    rows = []
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            rows.append((r, c, m[r, c].real, m[r, c].imag))
-    write_csv(path, ["row", "col", "re", "im"], rows, digits=LOSSLESS_DIGITS)
-
-
-def load_complex_matrix(path):
-    header, rows = read_csv(path)
-    assert header == ["row", "col", "re", "im"]
-    nr = max(int(r[0]) for r in rows) + 1
-    nc = max(int(r[1]) for r in rows) + 1
-    m = np.zeros((nr, nc), dtype=complex)
-    for r in rows:
-        m[int(r[0]), int(r[1])] = float(r[2]) + 1j * float(r[3])
-    return m
+    _save_columnar(path, m, ("row", "col"))
 
 
 def save_indexed_matrices(path, mats, index_name: str) -> None:
     """Columnar (index, row, col, re, im) dump of a stack of complex matrices."""
-    mats = np.asarray(mats)
-    rows = []
-    for k in range(mats.shape[0]):
-        for r in range(mats.shape[1]):
-            for c in range(mats.shape[2]):
-                rows.append((k, r, c, mats[k, r, c].real, mats[k, r, c].imag))
-    write_csv(path, [index_name, "row", "col", "re", "im"], rows,
-              digits=LOSSLESS_DIGITS)
-
-
-def load_indexed_matrices(path):
-    header, rows = read_csv(path)
-    nk = max(int(r[0]) for r in rows) + 1
-    nr = max(int(r[1]) for r in rows) + 1
-    nc = max(int(r[2]) for r in rows) + 1
-    m = np.zeros((nk, nr, nc), dtype=complex)
-    for r in rows:
-        m[int(r[0]), int(r[1]), int(r[2])] = float(r[3]) + 1j * float(r[4])
-    return m
+    _save_columnar(path, mats, (index_name, "row", "col"))
 
 
 def save_channelset(path, channels) -> None:
     """Serialize a ChannelSet to columns (k, u, row, col, re, im)."""
-    h = channels.h
-    rows = []
-    for k in range(h.shape[0]):
-        for u in range(h.shape[1]):
-            for r in range(h.shape[2]):
-                for c in range(h.shape[3]):
-                    rows.append((k, u, r, c, h[k, u, r, c].real, h[k, u, r, c].imag))
-    write_csv(path, ["k", "u", "row", "col", "re", "im"], rows,
-              digits=LOSSLESS_DIGITS)
+    _save_columnar(path, channels.h, ("k", "u", "row", "col"))
 
 
 def load_channelset_array(path):

@@ -75,16 +75,25 @@ class HybridPrecoder:
     def from_parts(cls, analog: AnalogPrecoder, digital, power: float,
                    normalize: bool = True) -> "HybridPrecoder":
         """Build a precoder, optionally rescaling each digital matrix to budget."""
-        digital = np.asarray(digital, dtype=complex).copy()
         if normalize:
-            K = digital.shape[0]
-            for k in range(K):
-                t = analog.matrix @ digital[k]
-                nrm = np.linalg.norm(t)
-                if nrm == 0:
-                    raise ValueError(f"carrier {k}: zero effective precoder")
-                digital[k] *= np.sqrt(power / K) / nrm
+            digital = scale_to_budget(digital, power, analog.matrix)
+        else:
+            digital = np.array(digital, dtype=complex)
         return cls(analog=analog, digital=digital, power=float(power))
+
+
+def scale_to_budget(x, power: float, analog=None) -> np.ndarray:
+    """Copy of the per-carrier stack x (K, ., N_s), each carrier scaled so
+    that its effective precoder (analog @ x[k], or x[k] without an analog
+    stage) carries the per-carrier budget P/K. A zero carrier raises."""
+    out = np.array(x, dtype=complex)
+    target = np.sqrt(power / out.shape[0])
+    for k in range(out.shape[0]):
+        nrm = np.linalg.norm(out[k] if analog is None else analog @ out[k])
+        if nrm == 0:
+            raise ValueError(f"carrier {k}: zero effective precoder")
+        out[k] *= target / nrm
+    return out
 
 
 @dataclass
@@ -170,9 +179,7 @@ def beampattern_at(p: HybridPrecoder, us) -> np.ndarray:
 
 def pattern_of_effective(t_eff: np.ndarray, us) -> np.ndarray:
     """Beampattern of per-carrier effective precoders (K, N_t, N_s)."""
-    a = steering_matrix(us, t_eff.shape[1])          # (G, N_t)
-    resp = np.einsum("gt,kts->kgs", a, t_eff)
-    return np.sum(np.abs(resp) ** 2, axis=(0, 2))
+    return per_carrier_pattern(t_eff, us).sum(axis=0)
 
 
 def beampattern(p: HybridPrecoder, grid: SinGrid) -> np.ndarray:
@@ -264,13 +271,20 @@ def radar_mi(p: HybridPrecoder, scene: RadarScene, noise_variance: float) -> flo
     """
     t_eff = p.effective()
     a = steering_matrix(scene.target_angles, t_eff.shape[1])   # (Q, N_t)
-    b = scene.target_gains[:, None] * a
+    return radar_mi_of_arrays(scene.target_gains[:, None] * a, t_eff,
+                              noise_variance)
+
+
+def radar_mi_of_arrays(b: np.ndarray, t_eff: np.ndarray, sigma2: float) -> float:
+    """Radar mutual information from raw arrays: b (Q, N_t) stacks the
+    gain-weighted target steering rows alpha_q a(theta_q)^T, t_eff is
+    (K, N_t, N_s)."""
     total = 0.0
     ns = t_eff.shape[2]
     for k in range(t_eff.shape[0]):
         tk = b @ t_eff[k]                                      # (Q, N_s)
-        m = np.eye(ns) + (tk.conj().T @ tk) / noise_variance
-        sign, logdet = np.linalg.slogdet(m)
+        m = np.eye(ns) + (tk.conj().T @ tk) / sigma2
+        _, logdet = np.linalg.slogdet(m)
         total += logdet / np.log(2.0)
     return float(total)
 

@@ -19,8 +19,8 @@ import numpy as np
 from .architecture import AnalogPrecoder, ArchitectureSpec, project_analog, random_feasible
 from .channel import ChannelSet, SystemDims, steering_matrix
 from .metrics import (HybridCombiner, HybridPrecoder, RadarScene,
-                      mmse_of_arrays, pattern_of_effective, se_of_arrays,
-                      ssme_of_pattern)
+                      mmse_of_arrays, pattern_of_effective, radar_mi_of_arrays,
+                      scale_to_budget, se_of_arrays, ssme_of_pattern)
 from .scalarize import (EpsilonConstraint, ObjectiveSpec, Normalizer,
                         ScalarizedProblem, WeightedSum, make_problem)
 
@@ -28,7 +28,7 @@ LN2 = np.log(2.0)
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
-STATUS_INFEASIBLE = "infeasible"
+STATUS_DIVERGED = "diverged"
 
 
 class SolverError(RuntimeError):
@@ -157,18 +157,7 @@ class _Engine:
                 _, _, vh = np.linalg.svd(self.h[k, u], full_matrices=False)
                 block = slice(u * self.s_pu, (u + 1) * self.s_pu)
                 t[k][:, block] = vh[:self.s_pu].conj().T
-        return self.renormalize(t)
-
-    def renormalize(self, t: np.ndarray) -> np.ndarray:
-        """Scale each carrier to the per-carrier power budget P/K."""
-        out = t.copy()
-        target = np.sqrt(self.power / self.K)
-        for k in range(self.K):
-            nrm = np.linalg.norm(out[k])
-            if nrm == 0:
-                raise SolverError("zero precoder cannot be renormalized")
-            out[k] *= target / nrm
-        return out
+        return scale_to_budget(t, self.power)
 
     # ---- combiners
 
@@ -183,24 +172,8 @@ class _Engine:
                 w[k, u] = np.linalg.solve(cov, ht)
         return w
 
-    def hybrid_combiners(self, t: np.ndarray, ridge: float = 1e-12) -> HybridCombiner:
-        """Phase-projected analog subspace plus per-carrier Wiener digital."""
-        w_rf = np.empty((self.U, self.nr, self.nrf_r), dtype=complex)
-        for u in range(self.U):
-            stack = np.concatenate([self.h[k, u] @ t[k] for k in range(self.K)],
-                                   axis=1)
-            uleft, _, _ = np.linalg.svd(stack, full_matrices=True)
-            w_rf[u] = np.exp(1j * np.angle(uleft[:, :self.nrf_r]))
-        w_d = np.empty((self.K, self.U, self.nrf_r, self.ns), dtype=complex)
-        eye = np.eye(self.nrf_r)
-        for k in range(self.K):
-            for u in range(self.U):
-                ht = self.h[k, u] @ t[k]
-                a = w_rf[u].conj().T @ ht
-                rz = (a @ a.conj().T
-                      + self.sigma2 * (w_rf[u].conj().T @ w_rf[u]))
-                w_d[k, u] = np.linalg.solve(rz + ridge * eye, a)
-        return HybridCombiner(analog=w_rf, digital=w_d)
+    def hybrid_combiners(self, t: np.ndarray) -> HybridCombiner:
+        return _hybrid_combiners(self.h, t, self.sigma2, self.nrf_r, 1e-12)
 
     # ---- metric values
 
@@ -217,13 +190,7 @@ class _Engine:
         return -self._radar_mi(t)
 
     def _radar_mi(self, t: np.ndarray) -> float:
-        total = 0.0
-        for k in range(self.K):
-            tk = self.b_tgt @ t[k]
-            m = np.eye(self.ns) + (tk.conj().T @ tk) / self.sigma2
-            _, logdet = np.linalg.slogdet(m)
-            total += logdet / LN2
-        return float(total)
+        return radar_mi_of_arrays(self.b_tgt, t, self.sigma2)
 
     def normalized(self, t: np.ndarray, w_eff: np.ndarray):
         nr = self.objective.radar_norm(self.radar_value(t))
@@ -275,21 +242,6 @@ class _Engine:
         for k in range(self.K):
             m = np.eye(self.ns) + (t[k].conj().T @ self.bhb @ t[k]) / self.sigma2
             g[k] = -(self.bhb @ t[k] @ np.linalg.inv(m)) / (self.sigma2 * LN2)
-        return g
-
-    def comm_grad_blocks(self, t: np.ndarray, w_eff: np.ndarray) -> np.ndarray:
-        """Per-(k,u) comm gradients for the linearized auxiliary updates."""
-        g = np.zeros((self.K, self.U, self.nt, self.ns), dtype=complex)
-        if self.objective.comm_metric == "mmse":
-            eye = np.eye(self.ns)
-            for k in range(self.K):
-                for u in range(self.U):
-                    b = w_eff[k, u].conj().T @ self.h[k, u]
-                    g[k, u] = b.conj().T @ (b @ t[k] - eye)
-            return g
-        for k in range(self.K):
-            for u in range(self.U):
-                g[k, u] = self._neg_se_grad_ku(t[k], w_eff[k, u], k, u)
         return g
 
     def rate_quadratic_ku(self, z: np.ndarray, w_eff: np.ndarray, k: int,
@@ -365,7 +317,7 @@ def design_fully_digital(problem: DesignProblem, cfg: SolverConfig) -> DesignRes
             if min(np.linalg.norm(cand[k]) for k in range(eng.K)) < 1e-300:
                 step *= 0.5
                 continue
-            cand = eng.renormalize(cand)
+            cand = scale_to_budget(cand, eng.power)
             nr2, nc2 = eng.normalized(cand, w_eff)
             obj2 = prob.penalty_value(nr2, nc2, mu)
             if obj2 <= obj + 1e-9 * max(1.0, abs(obj)):
@@ -499,12 +451,9 @@ def factorize_two_stage(f_star: np.ndarray, spec: ArchitectureSpec,
         f_rf = project_analog(uleft[:, :nrf], spec).matrix
         f_d = np.zeros((K, nrf, ns), dtype=complex)
     residuals = [_factor_residual(f_star, f_rf, f_d)]
-    eye = np.eye(nrf)
     for _ in range(cfg.factor_max_iterations):
         # digital: ridge least squares, kept only if it improves
-        gram = f_rf.conj().T @ f_rf + cfg.ridge * eye
-        f_d_new = np.stack([np.linalg.solve(gram, f_rf.conj().T @ f_star[k])
-                            for k in range(K)])
+        f_d_new = _digital_least_squares(f_rf, f_star, cfg.ridge)
         if _factor_residual(f_star, f_rf, f_d_new) <= residuals[-1]:
             f_d = f_d_new
         # analog: spec'd cross-term projection (safeguarded), then descent
@@ -558,6 +507,11 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
     dual-adjusted average cross-term) -> F_d (least squares plus power
     renormalization) -> scaled dual updates, with a mildly growing penalty.
     Convergence is declared on primal/dual residuals, not on the objective.
+    The status reads "converged" when both residuals fall below their
+    tolerances, "diverged" when the divergence guard stops the loop (primal
+    residual above 10x its value 50 iterations earlier) and "max_iter" when
+    the iteration budget runs out. Either way the returned design is the
+    better of the final and the best iterate, digitally refined.
 
     init, when given, is an (analog matrix, digital stack) warm start
     (e.g. the previous point of a weight sweep); the default initialization
@@ -569,17 +523,13 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
     arch = problem.architecture
     K, U, nt, ns = eng.K, eng.U, eng.nt, eng.ns
 
-    eye_rf = np.eye(arch.n_tx_rf)
     if init is not None:
         f_rf = np.array(init[0], dtype=complex)
         f_d = np.array(init[1], dtype=complex)
     else:
         f_rf = random_feasible(arch, cfg.seed).matrix
-        matched = eng.matched_init()
-        gram = f_rf.conj().T @ f_rf + cfg.ridge * eye_rf
-        f_d = np.stack([np.linalg.solve(gram, f_rf.conj().T @ matched[k])
-                        for k in range(K)])
-    f_d = _rescale_digital(f_rf, f_d, eng)
+        f_d = _digital_least_squares(f_rf, eng.matched_init(), cfg.ridge)
+    f_d = scale_to_budget(f_d, eng.power, f_rf)
     z = np.einsum("tr,krs->kts", f_rf, f_d)
     y = np.repeat(z[:, None], U, axis=1)              # (K, U, N_t, N_s)
     duals = np.zeros_like(y)
@@ -658,10 +608,8 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
         f_rf = _analog_coordinate_descent(f_rf, f_d, mean_yd, arch, sweeps=1)
 
         # F_d: least squares to the averaged copies, then power renorm
-        gram = f_rf.conj().T @ f_rf + cfg.ridge * eye_rf
-        f_d = np.stack([np.linalg.solve(gram, f_rf.conj().T @ mean_yd[k])
-                        for k in range(K)])
-        f_d = _rescale_digital(f_rf, f_d, eng)
+        f_d = scale_to_budget(_digital_least_squares(f_rf, mean_yd, cfg.ridge),
+                              eng.power, f_rf)
         z_old = z
         z = np.einsum("tr,krs->kts", f_rf, f_d)
 
@@ -675,7 +623,7 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
             status = STATUS_CONVERGED
             break
         if it >= 50 and primal > 10.0 * primal_trace[it - 50]:
-            status = STATUS_MAX_ITER
+            status = STATUS_DIVERGED
             break
         new_rho = min(rho * cfg.rho_growth, rho_max)
         if new_rho != rho:
@@ -689,7 +637,7 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
     nr_, nc_ = eng.normalized(z, w_eff)
     if prob.penalty_value(nr_, nc_, cfg.penalty_cap) > best_score:
         f_rf, f_d = best_state
-        f_d = _rescale_digital(f_rf, f_d, eng)
+        f_d = scale_to_budget(f_d, eng.power, f_rf)
     f_d = _digital_refinement(eng, prob, f_rf, f_d, cfg, mu)
     analog = AnalogPrecoder(matrix=f_rf, spec=arch)
     precoder = HybridPrecoder.from_parts(analog, f_d, problem.power,
@@ -708,21 +656,17 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
         final=final)
 
 
-def _rescale_digital(f_rf, f_d, eng: _Engine):
-    out = f_d.copy()
-    target = np.sqrt(eng.power / eng.K)
-    for k in range(f_d.shape[0]):
-        nrm = np.linalg.norm(f_rf @ out[k])
-        if nrm > 0:
-            out[k] *= target / nrm
-    return out
+def _digital_least_squares(f_rf, targets, ridge: float) -> np.ndarray:
+    """Per-carrier ridge least squares (F_rf^H F_rf + ridge I)^-1 F_rf^H M_k."""
+    gram = f_rf.conj().T @ f_rf + ridge * np.eye(f_rf.shape[1])
+    return np.stack([np.linalg.solve(gram, f_rf.conj().T @ m) for m in targets])
 
 
 def _digital_refinement(eng: _Engine, prob: ScalarizedProblem, f_rf, f_d,
                         cfg: SolverConfig, mu: float):
     """Polish the digital matrices on the true scalarized objective with the
     analog stage held fixed (monotone projected-gradient descent)."""
-    f_d = _rescale_digital(f_rf, f_d, eng)
+    f_d = scale_to_budget(f_d, eng.power, f_rf)
     step = None
     for _ in range(cfg.refine_iterations):
         t = np.einsum("tr,krs->kts", f_rf, f_d)
@@ -744,7 +688,7 @@ def _digital_refinement(eng: _Engine, prob: ScalarizedProblem, f_rf, f_d,
             step = 0.1 * np.linalg.norm(f_d) / gnorm
         accepted = False
         while step >= cfg.fd_min_step:
-            cand = _rescale_digital(f_rf, f_d - step * g_d, eng)
+            cand = scale_to_budget(f_d - step * g_d, eng.power, f_rf)
             t2 = np.einsum("tr,krs->kts", f_rf, cand)
             w2 = eng.hybrid_combiners(t2).effective()
             nr2, nc2 = eng.normalized(t2, w2)
@@ -774,20 +718,23 @@ def design_combiners(ch: ChannelSet, p: HybridPrecoder,
     sigma2 = ch.noise_variance if noise_variance is None else noise_variance
     if n_rx_rf is None:
         raise ValueError("n_rx_rf (receive RF chains) must be provided")
-    t_eff = p.effective()
-    K, U = ch.n_subcarriers, ch.n_users
-    nr = ch.h.shape[2]
-    ns = t_eff.shape[2]
+    return _hybrid_combiners(ch.h, p.effective(), sigma2, n_rx_rf, ridge)
+
+
+def _hybrid_combiners(h, t_eff, sigma2, n_rx_rf, ridge) -> HybridCombiner:
+    """Combiners of design_combiners on raw arrays h (K, U, N_r, N_t) and
+    t_eff (K, N_t, N_s); the solver engine calls it too."""
+    K, U, nr, _ = h.shape
     w_rf = np.empty((U, nr, n_rx_rf), dtype=complex)
     for u in range(U):
-        stack = np.concatenate([ch.h[k, u] @ t_eff[k] for k in range(K)], axis=1)
+        stack = np.concatenate([h[k, u] @ t_eff[k] for k in range(K)], axis=1)
         uleft, _, _ = np.linalg.svd(stack, full_matrices=True)
         w_rf[u] = np.exp(1j * np.angle(uleft[:, :n_rx_rf]))
-    w_d = np.empty((K, U, n_rx_rf, ns), dtype=complex)
+    w_d = np.empty((K, U, n_rx_rf, t_eff.shape[2]), dtype=complex)
     eye = np.eye(n_rx_rf)
     for k in range(K):
         for u in range(U):
-            ht = ch.h[k, u] @ t_eff[k]
+            ht = h[k, u] @ t_eff[k]
             a = w_rf[u].conj().T @ ht
             rz = a @ a.conj().T + sigma2 * (w_rf[u].conj().T @ w_rf[u])
             w_d[k, u] = np.linalg.solve(rz + ridge * eye, a)

@@ -118,13 +118,8 @@ def music_spectrum(model: VirtualArrayModel, grid: SinGrid,
     return num / (den + 1e-300)
 
 
-def music_value(model_or_subspace, transmit_factor, n_radar_rx, u,
-                n_sources=None):
-    """Spectrum value at one angle; accepts a model or a noise subspace."""
-    if isinstance(model_or_subspace, VirtualArrayModel):
-        en = _noise_subspace(model_or_subspace, n_sources)
-    else:
-        en = model_or_subspace
+def music_value(en, transmit_factor, n_radar_rx, u):
+    """Spectrum value at one angle given the noise subspace en."""
     v = virtual_mean_vector(transmit_factor, n_radar_rx, float(u))
     den = np.sum(np.abs(en.conj().T @ v) ** 2)
     return float(np.sum(np.abs(v) ** 2) / (den + 1e-300))

@@ -1,13 +1,16 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dfrcbeam.cli import main
 from dfrcbeam.experiments import (ConfigError, DEFAULTS, ExperimentConfig,
-                                  run_beampattern, run_doa, run_pareto,
-                                  run_se_vs_snr)
+                                  _pareto_seed_task, run_beampattern, run_doa,
+                                  run_pareto, run_se_vs_snr)
 from dfrcbeam.fileio import read_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = """
 dims.n_tx_antennas = 8
@@ -221,6 +224,31 @@ seeds = {seed}
         assert summary["fully_digital"][2] >= 0.70
         gaps.append(summary["two_stage"][1] - summary["admm"][1])
     assert np.median(gaps) >= 0
+
+
+def test_beampattern_golden(tmp_path):
+    # demos/demo_beampattern.py's config; its committed outputs must come
+    # back byte for byte (covers the SSME + MMSE quadratic ADMM branch)
+    golden = ROOT / "demo_out" / "beampattern"
+    config = ExperimentConfig.from_text(
+        "scene.target_angles = -0.55, 0.38\n"
+        "scene.mainlobe = -0.7891:-0.337, 0.0939:0.657\n"
+        "seeds = 1\n")
+    run_beampattern(config, str(tmp_path))
+    names = sorted(os.listdir(golden))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_pareto_divergence_guard_status():
+    # configs/pareto.cfg, partial connection, seed 2: the guard stops the
+    # w 0.2 solve at iteration 92 of 150, which must not read max_iter
+    config = ExperimentConfig.from_file(ROOT / "configs" / "pareto.cfg")
+    config = config.with_overrides(**{"sweep.architectures": "partial",
+                                      "sweep.weights": "0, 0.1, 0.2"})
+    rows = _pareto_seed_task(config.values, 2)
+    assert [r[-1] for r in rows] == ["max_iter", "max_iter", "diverged"]
 
 
 def test_manifest_has_hash(tmp_path):

@@ -5,7 +5,9 @@ from dataclasses import replace
 from conftest import random_precoder, small_dims, small_scene
 from dfrcbeam.architecture import ArchitectureSpec, feasibility_check, random_feasible
 from dfrcbeam.channel import ClusterModel, SystemDims, gen_channel, steering_vector
-from dfrcbeam.metrics import (HybridCombiner, multiuser_mmse, se_of_arrays,
+from dfrcbeam.metrics import (HybridCombiner, multiuser_mmse,
+                              pattern_of_effective, per_carrier_pattern,
+                              radar_mi, scale_to_budget, se_of_arrays,
                               spectral_efficiency)
 from dfrcbeam.scalarize import (EpsilonConstraint, MinMax, ObjectiveSpec,
                                 WeightedSum)
@@ -13,7 +15,7 @@ from dfrcbeam.solvers import (DesignProblem, SolverConfig,
                               UnsupportedCombinationError, compute_normalizers,
                               constructive_split, design_combiners,
                               design_consensus_admm, design_fully_digital,
-                              factorize_two_stage, solve)
+                              factorize_two_stage, solve, _Engine)
 
 
 def _problem(dims=None, seed=1, noise=0.25, arch=None, objective=None,
@@ -224,6 +226,37 @@ def test_combiners_match_unconstrained_wiener_when_square():
             mmse_unc += (np.linalg.norm(eye - g) ** 2
                          + 0.3 * np.linalg.norm(w_unc[k, u]) ** 2)
     assert mmse_hybrid == pytest.approx(mmse_unc, abs=1e-9)
+
+
+def test_engine_entry_points_equal_public_ones():
+    # what a solver optimizes and what a sweep reports come from one kernel
+    prob = _problem(angles=(-0.4, 0.3), gains=(1.0, 0.5j),
+                    objective=ObjectiveSpec("neg_radar_mi", "neg_se"))
+    dims = prob.dims
+    p = random_precoder(prob.architecture, dims.n_subcarriers, dims.n_streams,
+                        1.0, seed=4)
+    t = p.effective()
+    eng = _Engine(prob)
+    ours = eng.hybrid_combiners(t)
+    theirs = design_combiners(prob.channels, p, n_rx_rf=dims.n_rx_rf)
+    np.testing.assert_array_equal(ours.analog, theirs.analog)
+    np.testing.assert_array_equal(ours.digital, theirs.digital)
+    assert eng._radar_mi(t) == radar_mi(p, prob.scene,
+                                        prob.channels.noise_variance)
+    us = prob.scene.grid.points
+    np.testing.assert_array_equal(pattern_of_effective(t, us),
+                                  per_carrier_pattern(t, us).sum(0))
+
+
+def test_budget_scaling_rejects_zero_carrier():
+    x = np.ones((3, 4, 2), dtype=complex)
+    np.testing.assert_allclose(
+        np.linalg.norm(scale_to_budget(x, 3.0), axis=(1, 2)), 1.0)
+    x[1] = 0.0
+    with pytest.raises(ValueError, match="carrier 1"):
+        scale_to_budget(x, 3.0)
+    with pytest.raises(ValueError, match="carrier 1"):
+        scale_to_budget(x, 3.0, analog=np.ones((5, 4)))
 
 
 # -- dispatch and scalarization interplay -----------------------------------------
