@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ncx2
 
 from .architecture import AnalogPrecoder, feasibility_check
 from .channel import ChannelSet, SinGrid, steering_matrix, steering_vector
@@ -163,6 +162,36 @@ class RadarScene:
         return mask
 
 
+# -- stacked (K, U, ...) helpers ---------------------------------------------
+
+def _herm(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the trailing two axes of a stack."""
+    return np.conj(x).swapaxes(-1, -2)
+
+
+def _user_columns(n_streams: int, n_users: int):
+    """Index arrays (U, s_pu) and (U, N_s - s_pu) of each user's own stream
+    columns and of the other users' columns."""
+    cols = np.arange(n_streams).reshape(n_users, -1)
+    return cols, np.stack([np.delete(cols, u, axis=0).ravel()
+                           for u in range(n_users)])
+
+
+def _take_columns(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x (K, U, ., N_s) restricted per user u to the columns idx[u]."""
+    return np.take_along_axis(x, idx[None, :, None, :], axis=3)
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right sum from 0.0, so a stacked result adds up bit for bit
+    like a per-(k, u) loop (np.sum adds pairwise; the builtin sum
+    compensates from Python 3.12)."""
+    total = 0.0
+    for v in np.ravel(values).tolist():
+        total += v
+    return total
+
+
 # -- beampattern and radar metrics -------------------------------------------
 
 def _check_feasible(p: HybridPrecoder) -> None:
@@ -177,9 +206,10 @@ def beampattern_at(p: HybridPrecoder, us) -> np.ndarray:
     return pattern_of_effective(p.effective(), us)
 
 
-def pattern_of_effective(t_eff: np.ndarray, us) -> np.ndarray:
-    """Beampattern of per-carrier effective precoders (K, N_t, N_s)."""
-    return per_carrier_pattern(t_eff, us).sum(axis=0)
+def pattern_of_effective(t_eff: np.ndarray, us, steering=None) -> np.ndarray:
+    """Beampattern of per-carrier effective precoders (K, N_t, N_s); steering,
+    when given, holds the rows a(u)^T for us (saves rebuilding them)."""
+    return per_carrier_pattern(t_eff, us, steering).sum(axis=0)
 
 
 def beampattern(p: HybridPrecoder, grid: SinGrid) -> np.ndarray:
@@ -187,9 +217,10 @@ def beampattern(p: HybridPrecoder, grid: SinGrid) -> np.ndarray:
     return beampattern_at(p, grid.points)
 
 
-def per_carrier_pattern(t_eff: np.ndarray, us) -> np.ndarray:
-    """Per-carrier beampatterns, shape (K, G)."""
-    a = steering_matrix(us, t_eff.shape[1])
+def per_carrier_pattern(t_eff: np.ndarray, us, steering=None) -> np.ndarray:
+    """Per-carrier beampatterns, shape (K, G); steering as in
+    pattern_of_effective."""
+    a = steering_matrix(us, t_eff.shape[1]) if steering is None else steering
     resp = np.einsum("gt,kts->kgs", a, t_eff)
     return np.sum(np.abs(resp) ** 2, axis=2)
 
@@ -258,6 +289,8 @@ def detection_probability(sinr: float, pfa: float) -> float:
         raise ValueError("pfa must lie in (0, 1]")
     if sinr < 0:
         raise ValueError("sinr must be nonnegative")
+    from scipy.stats import ncx2   # ~0.5 s to import; no sweep needs it
+
     threshold = -2.0 * np.log(pfa)
     return float(ncx2.sf(threshold, 2, 2.0 * float(sinr)))
 
@@ -279,14 +312,10 @@ def radar_mi_of_arrays(b: np.ndarray, t_eff: np.ndarray, sigma2: float) -> float
     """Radar mutual information from raw arrays: b (Q, N_t) stacks the
     gain-weighted target steering rows alpha_q a(theta_q)^T, t_eff is
     (K, N_t, N_s)."""
-    total = 0.0
-    ns = t_eff.shape[2]
-    for k in range(t_eff.shape[0]):
-        tk = b @ t_eff[k]                                      # (Q, N_s)
-        m = np.eye(ns) + (tk.conj().T @ tk) / sigma2
-        _, logdet = np.linalg.slogdet(m)
-        total += logdet / np.log(2.0)
-    return float(total)
+    tk = b @ t_eff                                             # (K, Q, N_s)
+    m = np.eye(t_eff.shape[2]) + (_herm(tk) @ tk) / sigma2
+    _, logdet = np.linalg.slogdet(m)
+    return _sum_in_order(logdet / np.log(2.0))
 
 
 # -- virtual array data model (shared with the DOA study) ---------------------
@@ -386,26 +415,27 @@ def se_of_arrays(h: np.ndarray, t_eff: np.ndarray, w_eff: np.ndarray,
     K, U = h.shape[0], h.shape[1]
     ns = t_eff.shape[2]
     s_pu = _streams_per_user(ns, U)
-    total = 0.0
+    own, others = _user_columns(ns, U)
+    wh = _herm(w_eff)                                     # (K, U, N_s, N_r)
+    cf = wh @ h @ t_eff[:, None]                          # (K, U, N_s, N_s)
+    g = _take_columns(cf, own)
+    other = _take_columns(cf, others)
+    r = other @ _herm(other) + sigma2 * (wh @ w_eff)
     regularized = False
-    for k in range(K):
-        for u in range(U):
-            w = w_eff[k, u]                      # (N_r, N_s)
-            cf = w.conj().T @ h[k, u] @ t_eff[k]   # (N_s, N_s)
-            own = slice(u * s_pu, (u + 1) * s_pu)
-            g = cf[:, own]
-            other = np.delete(cf, np.s_[own], axis=1)
-            r = other @ other.conj().T + sigma2 * (w.conj().T @ w)
+    try:
+        rinv_g = np.linalg.solve(r, g)
+    except np.linalg.LinAlgError:
+        rinv_g = np.empty_like(g)
+        for k, u in np.ndindex(K, U):
             try:
-                rinv_g = np.linalg.solve(r, g)
+                rinv_g[k, u] = np.linalg.solve(r[k, u], g[k, u])
             except np.linalg.LinAlgError:
                 regularized = True
-                r = r + 1e-12 * np.eye(ns)
-                rinv_g = np.linalg.solve(r, g)
-            m = np.eye(s_pu) + g.conj().T @ rinv_g
-            sign, logdet = np.linalg.slogdet(m)
-            total += logdet / np.log(2.0)
-    se = float(total) / K
+                rinv_g[k, u] = np.linalg.solve(r[k, u] + 1e-12 * np.eye(ns),
+                                               g[k, u])
+    m = np.eye(s_pu) + _herm(g) @ rinv_g
+    _, logdet = np.linalg.slogdet(m)
+    se = _sum_in_order(logdet / np.log(2.0)) / K
     if return_regularized:
         return se, regularized
     return se

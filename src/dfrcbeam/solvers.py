@@ -18,8 +18,9 @@ import numpy as np
 
 from .architecture import AnalogPrecoder, ArchitectureSpec, project_analog, random_feasible
 from .channel import ChannelSet, SystemDims, steering_matrix
-from .metrics import (HybridCombiner, HybridPrecoder, RadarScene,
-                      mmse_of_arrays, pattern_of_effective, radar_mi_of_arrays,
+from .metrics import (HybridCombiner, HybridPrecoder, RadarScene, _herm,
+                      _take_columns, _user_columns, mmse_of_arrays,
+                      pattern_of_effective, radar_mi_of_arrays,
                       scale_to_budget, se_of_arrays, ssme_of_pattern)
 from .scalarize import (EpsilonConstraint, ObjectiveSpec, Normalizer,
                         ScalarizedProblem, WeightedSum, make_problem)
@@ -139,12 +140,19 @@ class _Engine:
         self.grid_u = scene.grid.points
         self.n_g = self.grid_u.size
         self.a_grid = steering_matrix(self.grid_u, self.nt)       # (G, N_t)
-        self.aha = (self.a_grid.conj().T @ self.a_grid) / self.n_g
+        self.a_grid_h = self.a_grid.conj().T
+        self.aha = (self.a_grid_h @ self.a_grid) / self.n_g
         self.desired = scene.desired
         a_tgt = steering_matrix(scene.target_angles, self.nt)
         self.b_tgt = scene.target_gains[:, None] * a_tgt          # (Q, N_t)
         self.bhb = self.b_tgt.conj().T @ self.b_tgt
         self.objective = problem.objective
+        self.own, self.others = _user_columns(self.ns, self.U)
+        # one-slot pattern cache: the FD loop evaluates the pattern of each
+        # accepted candidate again at the next iteration start and in
+        # radar_grad; callers never modify a T in place
+        self._pattern_t = None
+        self._pattern = None
 
     # ---- initialization
 
@@ -163,14 +171,9 @@ class _Engine:
 
     def wiener_unconstrained(self, t: np.ndarray) -> np.ndarray:
         """Unconstrained per-(k,u) MMSE combiners, shape (K, U, N_r, N_s)."""
-        w = np.empty((self.K, self.U, self.nr, self.ns), dtype=complex)
-        eye = np.eye(self.nr)
-        for k in range(self.K):
-            for u in range(self.U):
-                ht = self.h[k, u] @ t[k]
-                cov = ht @ ht.conj().T + self.sigma2 * eye
-                w[k, u] = np.linalg.solve(cov, ht)
-        return w
+        ht = self.h @ t[:, None]                            # (K, U, N_r, N_s)
+        cov = ht @ _herm(ht) + self.sigma2 * np.eye(self.nr)
+        return np.linalg.solve(cov, ht)
 
     def hybrid_combiners(self, t: np.ndarray) -> HybridCombiner:
         return _hybrid_combiners(self.h, t, self.sigma2, self.nrf_r, 1e-12)
@@ -184,10 +187,16 @@ class _Engine:
 
     def radar_value(self, t: np.ndarray) -> float:
         if self.objective.radar_metric == "ssme":
-            pattern = pattern_of_effective(t, self.grid_u)
-            val, _ = ssme_of_pattern(pattern, self.desired)
+            val, _ = ssme_of_pattern(self.pattern(t), self.desired)
             return val
         return -self._radar_mi(t)
+
+    def pattern(self, t: np.ndarray) -> np.ndarray:
+        """Beampattern of T on the grid, cached for the last T object."""
+        if t is not self._pattern_t:
+            self._pattern = pattern_of_effective(t, self.grid_u, self.a_grid)
+            self._pattern_t = t
+        return self._pattern
 
     def _radar_mi(self, t: np.ndarray) -> float:
         return radar_mi_of_arrays(self.b_tgt, t, self.sigma2)
@@ -200,72 +209,66 @@ class _Engine:
     # ---- gradients with respect to conj(T_k), raw (unnormalized) metrics
 
     def comm_grad(self, t: np.ndarray, w_eff: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(t)
+        b = _herm(w_eff) @ self.h                           # (K, U, N_s, N_t)
+        bh = _herm(b)
         if self.objective.comm_metric == "mmse":
-            eye = np.eye(self.ns)
-            for k in range(self.K):
-                for u in range(self.U):
-                    b = w_eff[k, u].conj().T @ self.h[k, u]   # (N_s, N_t)
-                    g[k] += b.conj().T @ (b @ t[k] - eye)
-            return g
-        for k in range(self.K):
-            for u in range(self.U):
-                g[k] += self._neg_se_grad_ku(t[k], w_eff[k, u], k, u)
+            terms = bh @ (b @ t[:, None] - np.eye(self.ns))
+        else:
+            terms = self._neg_se_grad(t, w_eff, b, bh)
+        g = np.zeros_like(t)
+        for u in range(self.U):
+            g += terms[:, u]
         return g
 
-    def _neg_se_grad_ku(self, tk, w, k, u):
-        b = w.conj().T @ self.h[k, u]                 # (N_s, N_t)
-        c_full = b @ tk                               # (N_s, N_s)
-        noise = self.sigma2 * (w.conj().T @ w)
-        own = slice(u * self.s_pu, (u + 1) * self.s_pu)
-        sel = np.ones(self.ns)
-        sel[own] = 0.0
-        c_int = c_full * sel[None, :]
-        s_tot = c_full @ c_full.conj().T + noise
-        s_int = c_int @ c_int.conj().T + noise
+    def _neg_se_grad(self, t, w_eff, b, bh):
+        """Per-(k, u) gradients of the negative rates, (K, U, N_t, N_s)."""
+        c_full = b @ t[:, None]                             # (K, U, N_s, N_s)
+        noise = self.sigma2 * (_herm(w_eff) @ w_eff)
+        sel = np.ones((self.U, self.ns))
+        np.put_along_axis(sel, self.own, 0.0, axis=1)
+        c_int = c_full * sel[None, :, None, :]
+        s_tot = c_full @ _herm(c_full) + noise
+        s_int = c_int @ _herm(c_int) + noise
         eye = 1e-12 * np.eye(self.ns)
-        g_tot = b.conj().T @ np.linalg.solve(s_tot + eye, c_full)
-        g_int = b.conj().T @ np.linalg.solve(s_int + eye, c_int)
+        g_tot = bh @ np.linalg.solve(s_tot + eye, c_full)
+        g_int = bh @ np.linalg.solve(s_int + eye, c_int)
         return -(g_tot - g_int) / (self.K * LN2)
 
     def radar_grad(self, t: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(t)
         if self.objective.radar_metric == "ssme":
-            pattern = pattern_of_effective(t, self.grid_u)
+            pattern = self.pattern(t)
             _, beta = ssme_of_pattern(pattern, self.desired)
             weight = (pattern - beta * self.desired)   # (G,)
-            for k in range(self.K):
-                resp = self.a_grid @ t[k]
-                g[k] = (2.0 / self.n_g) * (self.a_grid.conj().T
-                                           @ (weight[:, None] * resp))
-            return g
-        for k in range(self.K):
-            m = np.eye(self.ns) + (t[k].conj().T @ self.bhb @ t[k]) / self.sigma2
-            g[k] = -(self.bhb @ t[k] @ np.linalg.inv(m)) / (self.sigma2 * LN2)
-        return g
+            resp = self.a_grid @ t                     # (K, G, N_s)
+            return (2.0 / self.n_g) * (self.a_grid_h @ (weight[:, None] * resp))
+        m = np.eye(self.ns) + (_herm(t) @ self.bhb @ t) / self.sigma2
+        return -(self.bhb @ t @ np.linalg.inv(m)) / (self.sigma2 * LN2)
 
-    def rate_quadratic_ku(self, z: np.ndarray, w_eff: np.ndarray, k: int,
-                          u: int, ridge: float):
-        """Weighted-MMSE majorizer of user u's negative rate at carrier k.
+    def rate_quadratic_ku(self, z: np.ndarray, w_eff: np.ndarray, ridge: float):
+        """Weighted-MMSE majorizers of every user's negative rate at every
+        carrier.
 
         With the receiver fixed and weight U = E(Z)^-1, the rate satisfies
         -rate(Y) <= [tr(U E(Y)) - log det U - s_pu] / ln 2 with equality at
-        Y = Z, and tr(U E(Y)) is quadratic in Y. Returns (Q, rhs) of the
-        per-copy quadratic (1/ln2) tr(U E(Y)).
+        Y = Z, and tr(U E(Y)) is quadratic in Y. Returns the stacks Q
+        (K, U, N_t, N_t) and rhs (K, U, N_t, N_s) of the per-copy quadratics
+        (1/ln2) tr(U E(Y)).
         """
-        own = slice(u * self.s_pu, (u + 1) * self.s_pu)
-        w_own = w_eff[k, u][:, own]                        # (N_r, s_pu)
-        b = w_own.conj().T @ self.h[k, u]                  # (s_pu, N_t)
-        bz = b @ z[k]                                      # (s_pu, N_s)
-        e = np.eye(self.s_pu, dtype=complex) - bz[:, own]
-        other = np.delete(bz, np.s_[own], axis=1)
-        err = (e @ e.conj().T + other @ other.conj().T
-               + self.sigma2 * (w_own.conj().T @ w_own))
+        w_own = _take_columns(w_eff, self.own)               # (K, U, N_r, s_pu)
+        w_own_h = _herm(w_own)
+        b = w_own_h @ self.h                                 # (K, U, s_pu, N_t)
+        bz = b @ z[:, None]                                  # (K, U, s_pu, N_s)
+        e = np.eye(self.s_pu, dtype=complex) - _take_columns(bz, self.own)
+        other = _take_columns(bz, self.others)
+        err = (e @ _herm(e) + other @ _herm(other)
+               + self.sigma2 * (w_own_h @ w_own))
         weight = np.linalg.inv(err + ridge * np.eye(self.s_pu))
         scale = 1.0 / (self.K * LN2)
-        q = scale * (b.conj().T @ weight @ b)
-        rhs = np.zeros((self.nt, self.ns), dtype=complex)
-        rhs[:, own] = scale * (b.conj().T @ weight)
+        bhw = _herm(b) @ weight                              # (K, U, N_t, s_pu)
+        q = scale * (bhw @ b)
+        rhs = np.zeros((self.K, self.U, self.nt, self.ns), dtype=complex)
+        for u in range(self.U):
+            rhs[:, u, :, u * self.s_pu:(u + 1) * self.s_pu] = scale * bhw[:, u]
         return q, rhs
 
     def raw_weights(self, w_radar: float, w_comm: float):
@@ -521,7 +524,7 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
     eng = _Engine(problem)
     prob = make_problem(problem.objective, problem.scalarization)
     arch = problem.architecture
-    K, U, nt, ns = eng.K, eng.U, eng.nt, eng.ns
+    K, U, nt = eng.K, eng.U, eng.nt
 
     if init is not None:
         f_rf = np.array(init[0], dtype=complex)
@@ -567,34 +570,26 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
 
         # Y update: quadratic metric terms exact (MMSE directly, rates via
         # their weighted-MMSE majorizer), radar MI linearized at z
-        lhs = np.empty((K, U, nt, nt), dtype=complex)
-        rhs = np.empty((K, U, nt, ns), dtype=complex)
-        base = (rho / 2.0 + cfg.ridge) * eye_t
-        for k in range(K):
-            for u in range(U):
-                m = base.copy()
-                r = (rho / 2.0) * (z[k] - duals[k, u])
-                if wc_raw != 0.0:
-                    if quad_comm:
-                        b = w_eff[k, u].conj().T @ eng.h[k, u]
-                        m = m + wc_raw * (b.conj().T @ b)
-                        r = r + wc_raw * b.conj().T
-                    else:
-                        q_c, rhs_c = eng.rate_quadratic_ku(z, w_eff, k, u,
-                                                           cfg.ridge)
-                        m = m + wc_raw * q_c
-                        r = r + wc_raw * rhs_c
-                if wr_raw != 0.0:
-                    if quad_radar:
-                        share = wr_raw / (U * eng.n_g)
-                        m = m + share * eng.n_g * eng.aha
-                        r = r + share * (eng.a_grid.conj().T @ refs[k])
-                    else:
-                        r = r - (wr_raw / U) * lin_radar[k]
-                lhs[k, u] = m
-                rhs[k, u] = r
-        y = np.linalg.solve(lhs.reshape(K * U, nt, nt),
-                            rhs.reshape(K * U, nt, ns)).reshape(K, U, nt, ns)
+        lhs = (rho / 2.0 + cfg.ridge) * eye_t
+        rhs = (rho / 2.0) * (z[:, None] - duals)
+        if wc_raw != 0.0:
+            if quad_comm:
+                b = _herm(w_eff) @ eng.h                  # (K, U, N_s, N_t)
+                bh = _herm(b)
+                lhs = lhs + wc_raw * (bh @ b)
+                rhs = rhs + wc_raw * bh
+            else:
+                q_c, rhs_c = eng.rate_quadratic_ku(z, w_eff, cfg.ridge)
+                lhs = lhs + wc_raw * q_c
+                rhs = rhs + wc_raw * rhs_c
+        if wr_raw != 0.0:
+            if quad_radar:
+                share = wr_raw / (U * eng.n_g)
+                lhs = lhs + share * eng.n_g * eng.aha
+                rhs = rhs + share * (eng.a_grid_h @ refs)[:, None]
+            else:
+                rhs = rhs - (wr_raw / U) * lin_radar[:, None]
+        y = np.linalg.solve(np.broadcast_to(lhs, (K, U, nt, nt)), rhs)
 
         # F_rf: phase projection of the dual-adjusted average cross-term,
         # then exact per-entry descent of the consensus block objective
@@ -658,8 +653,9 @@ def design_consensus_admm(problem: DesignProblem, cfg: SolverConfig,
 
 def _digital_least_squares(f_rf, targets, ridge: float) -> np.ndarray:
     """Per-carrier ridge least squares (F_rf^H F_rf + ridge I)^-1 F_rf^H M_k."""
-    gram = f_rf.conj().T @ f_rf + ridge * np.eye(f_rf.shape[1])
-    return np.stack([np.linalg.solve(gram, f_rf.conj().T @ m) for m in targets])
+    f_rf_h = f_rf.conj().T
+    gram = f_rf_h @ f_rf + ridge * np.eye(f_rf.shape[1])
+    return np.linalg.solve(gram, f_rf_h @ targets)
 
 
 def _digital_refinement(eng: _Engine, prob: ScalarizedProblem, f_rf, f_d,
@@ -725,19 +721,16 @@ def _hybrid_combiners(h, t_eff, sigma2, n_rx_rf, ridge) -> HybridCombiner:
     """Combiners of design_combiners on raw arrays h (K, U, N_r, N_t) and
     t_eff (K, N_t, N_s); the solver engine calls it too."""
     K, U, nr, _ = h.shape
+    ht = h @ t_eff[:, None]                                 # (K, U, N_r, N_s)
     w_rf = np.empty((U, nr, n_rx_rf), dtype=complex)
     for u in range(U):
-        stack = np.concatenate([h[k, u] @ t_eff[k] for k in range(K)], axis=1)
+        stack = np.concatenate(list(ht[:, u]), axis=1)
         uleft, _, _ = np.linalg.svd(stack, full_matrices=True)
         w_rf[u] = np.exp(1j * np.angle(uleft[:, :n_rx_rf]))
-    w_d = np.empty((K, U, n_rx_rf, t_eff.shape[2]), dtype=complex)
-    eye = np.eye(n_rx_rf)
-    for k in range(K):
-        for u in range(U):
-            ht = h[k, u] @ t_eff[k]
-            a = w_rf[u].conj().T @ ht
-            rz = a @ a.conj().T + sigma2 * (w_rf[u].conj().T @ w_rf[u])
-            w_d[k, u] = np.linalg.solve(rz + ridge * eye, a)
+    w_rf_h = _herm(w_rf)
+    a = w_rf_h @ ht                                         # (K, U, N_rf_r, N_s)
+    rz = a @ _herm(a) + sigma2 * (w_rf_h @ w_rf)
+    w_d = np.linalg.solve(rz + ridge * np.eye(n_rx_rf), a)
     return HybridCombiner(analog=w_rf, digital=w_d)
 
 

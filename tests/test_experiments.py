@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,17 @@ def test_run_design_and_rerun_identical(tmp_path):
         a = (out1 / name).read_bytes()
         b = (out2 / name).read_bytes()
         assert a == b, name
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the startup time and only
+    # metrics.detection_probability needs it, so it loads on first use
+    import dfrcbeam
+    env = dict(os.environ, PYTHONPATH=str(Path(dfrcbeam.__file__).parents[1]))
+    code = "import sys, dfrcbeam.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_config_error_exit_code(tmp_path):

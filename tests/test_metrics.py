@@ -199,21 +199,14 @@ def test_se_siso():
     assert spectral_efficiency(ch, p, c) == pytest.approx(expect, rel=1e-12)
 
 
-def test_se_zero_precoder():
-    ch, p, c = _siso_setup(1.0, 1.0, 0.5)
-    c.digital = np.zeros_like(c.digital)
-    # zero combiner: regularized branch, zero rate
-    se, reg = spectral_efficiency(ch, p, c, return_regularized=True)
-    assert se == pytest.approx(0.0)
-
-
-def test_se_orthogonal_users_add():
-    # two users on orthogonal effective channels: SE = sum of single-user SEs
+def _orthogonal_users(g0, g1, sigma2):
+    """Two users on orthogonal channels: stream u feeds tx antenna u, which
+    user u sees with gain g_u on rx antenna u; identity combiners."""
     from dfrcbeam.channel import ChannelSet
     h = np.zeros((1, 2, 2, 2), dtype=complex)
-    h[0, 0, 0, 0] = 1.3   # user 0 sees tx antenna 0 on rx antenna 0
-    h[0, 1, 1, 1] = 0.9   # user 1 sees tx antenna 1 on rx antenna 1
-    ch = ChannelSet(h=h, noise_variance=0.2, seed=0)
+    h[0, 0, 0, 0] = g0
+    h[0, 1, 1, 1] = g1
+    ch = ChannelSet(h=h, noise_variance=sigma2, seed=0)
     spec = ArchitectureSpec("full", 2, 2)
     analog = AnalogPrecoder(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex),
                             spec)
@@ -224,6 +217,33 @@ def test_se_orthogonal_users_add():
     eye = np.eye(2, dtype=complex)
     c = HybridCombiner(analog=np.stack([eye, eye]),
                        digital=np.stack([eye, eye])[None])
+    return ch, p, c
+
+
+def test_se_zero_precoder():
+    ch, p, c = _siso_setup(1.0, 1.0, 0.5)
+    c.digital = np.zeros_like(c.digital)
+    # zero combiner: regularized branch, zero rate
+    se, reg = spectral_efficiency(ch, p, c, return_regularized=True)
+    assert se == pytest.approx(0.0)
+    assert reg
+    # U = 2 with only user 0's combiner zero: the flag is set and user 1
+    # keeps its unregularized rate, read off a twin in which user 0 has its
+    # combiner but no channel (a zero rate, exactly, without the ridge)
+    ch, p, c = _orthogonal_users(1.3, 0.9, 0.2)
+    c.digital[0, 0] = 0.0
+    se, reg = spectral_efficiency(ch, p, c, return_regularized=True)
+    ch_twin, p, c_twin = _orthogonal_users(0.0, 0.9, 0.2)
+    se_twin, reg_twin = spectral_efficiency(ch_twin, p, c_twin,
+                                            return_regularized=True)
+    assert reg and not reg_twin
+    assert se == se_twin == pytest.approx(np.log2(1 + abs(0.9) ** 2 / 0.2),
+                                          rel=1e-12)
+
+
+def test_se_orthogonal_users_add():
+    # two users on orthogonal effective channels: SE = sum of single-user SEs
+    ch, p, c = _orthogonal_users(1.3, 0.9, 0.2)
     se = spectral_efficiency(ch, p, c)
     se0 = np.log2(1 + abs(1.3) ** 2 / 0.2)
     se1 = np.log2(1 + abs(0.9) ** 2 / 0.2)
